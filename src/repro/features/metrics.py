@@ -108,6 +108,20 @@ class Metric:
         """
         return None
 
+    def distance_row(self, center: FeatureLike, rows: Sequence[FeatureLike]) -> np.ndarray:
+        """Distances from *center* to each row of *rows*, as one float64 array.
+
+        The generic fallback calls :meth:`distance` once per row, so it is
+        bitwise identical to the scalar form for every metric.  Vectorized
+        overrides take an (n, d) matrix and are bitwise identical at d = 1;
+        at d ≥ 2 their reductions may round differently from the scalar
+        call by an ulp, so callers that need the scalar value exactly must
+        re-check the entries they select.
+        """
+        return np.fromiter(
+            (self.distance(center, row) for row in rows), dtype=np.float64, count=len(rows)
+        )
+
 
 class EuclideanMetric(Metric):
     """Plain Euclidean distance between feature vectors."""
@@ -149,6 +163,14 @@ class EuclideanMetric(Metric):
         diff = matrix[:, None, :] - matrix[None, :, :]
         return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
+    def distance_row(self, center: FeatureLike, rows: np.ndarray) -> np.ndarray:
+        """Vectorized distances from *center* to each row of an (n, d) matrix."""
+        if rows.shape[1] == 1:
+            # |a - b|, the exact scalar form distance() takes at d = 1.
+            return np.abs(rows[:, 0] - center[0])
+        diff = rows - center
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
     def __repr__(self) -> str:
         return "EuclideanMetric()"
 
@@ -171,6 +193,10 @@ class ManhattanMetric(Metric):
     def pairwise_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Vectorized all-pairs distances over the rows of an (n, d) matrix."""
         return np.sum(np.abs(matrix[:, None, :] - matrix[None, :, :]), axis=-1)
+
+    def distance_row(self, center: FeatureLike, rows: np.ndarray) -> np.ndarray:
+        """Vectorized distances from *center* to each row of an (n, d) matrix."""
+        return np.sum(np.abs(rows - center), axis=-1)
 
     def __repr__(self) -> str:
         return "ManhattanMetric()"
@@ -227,6 +253,11 @@ class WeightedEuclideanMetric(Metric):
         """Vectorized all-pairs distances over the rows of an (n, d) matrix."""
         diff = matrix[:, None, :] - matrix[None, :, :]
         return np.sqrt(np.einsum("k,ijk->ij", self.weights, diff * diff))
+
+    def distance_row(self, center: FeatureLike, rows: np.ndarray) -> np.ndarray:
+        """Vectorized distances from *center* to each row of an (n, d) matrix."""
+        diff = rows - center
+        return np.sqrt(np.einsum("k,ik->i", self.weights, diff * diff))
 
     def __repr__(self) -> str:
         return f"WeightedEuclideanMetric(weights={self.weights.tolist()})"

@@ -47,6 +47,25 @@ class BackboneTree:
         """Neighbours in the underlying structure."""
         return self.tree.neighbors(root)
 
+    def side_roots(self, src: Hashable, dst: Hashable) -> set[Hashable]:
+        """Backbone roots reachable from *dst* without crossing edge (src, dst).
+
+        The far side of that edge direction: every root a query sent from
+        *src* toward *dst* could reach, and so every root lost when *dst*
+        is a dead relay.
+        """
+        seen = {dst}
+        stack = [dst]
+        while stack:
+            current = stack.pop()
+            for neighbor in self.tree.neighbors(current):
+                if neighbor == src and current == dst:
+                    continue
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    stack.append(neighbor)
+        return seen
+
     def reroute_around(
         self, graph: nx.Graph, dead_root: Hashable, replacement: Hashable
     ) -> int:

@@ -217,24 +217,10 @@ class KnnQueryEngine:
                 if neighbor in self._dead:
                     # The query copy toward this relay is undeliverable.
                     self._drop(stats, DROP_DEAD_RELAY)
-                    lost.update(self._side_roots(current, neighbor))
+                    lost.update(self.backbone.side_roots(current, neighbor))
                     continue
                 stack.append(neighbor)
         return seen - lost, lost
-
-    def _side_roots(self, src: Hashable, dst: Hashable) -> set[Hashable]:
-        """Backbone roots reachable from *dst* without crossing (src, dst)."""
-        seen = {dst}
-        stack = [dst]
-        while stack:
-            current = stack.pop()
-            for neighbor in self.backbone.tree.neighbors(current):
-                if neighbor == src and current == dst:
-                    continue
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return seen
 
     def _alive_total(self) -> int:
         return sum(1 for n in self.clustering.assignment if n not in self._dead)

@@ -892,7 +892,7 @@ class QueryPlanner:
                 seen.add(neighbor)
                 if neighbor in self._dead:
                     engine._drop(stats, DROP_DEAD_RELAY)
-                    lost.update(engine._side_roots(current, neighbor))
+                    lost.update(self.backbone.side_roots(current, neighbor))
                     continue
                 hops = self.backbone.edge_hops(current, neighbor)
                 self._charge(stats, qv, hops)

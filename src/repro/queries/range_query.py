@@ -51,6 +51,55 @@ DROP_DEAD_ROOT = "dead_root"
 DROP_NO_SURVIVORS = "no_survivors"
 
 
+#: Relative distance below a row maximum within which vectorized entries
+#: are re-checked with the scalar metric at d ≥ 2.  Far wider than any
+#: reduction-order rounding difference (a few ulps, ~1e-15 relative).
+_ROW_RECHECK_RTOL = 1e-9
+
+
+def _preorder(tree) -> tuple[
+    list[Hashable],
+    dict[Hashable, Hashable | None],
+    dict[Hashable, int],
+    dict[Hashable, int],
+    dict[Hashable, tuple[int, int]],
+]:
+    """DFS preorder of a forest with subtree and component bounds.
+
+    Returns ``(order, parent, tin, tout, span)``: the subtree of ``v`` is
+    ``order[tin[v]:tout[v]]`` and its component is
+    ``order[span[v][0]:span[v][1]]``.
+    """
+    order: list[Hashable] = []
+    parent: dict[Hashable, Hashable | None] = {}
+    tin: dict[Hashable, int] = {}
+    span: dict[Hashable, tuple[int, int]] = {}
+    for start in tree.nodes:
+        if start in parent:
+            continue
+        lo = len(order)
+        parent[start] = None
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            tin[node] = len(order)
+            order.append(node)
+            for neighbor in tree.neighbors(node):
+                if neighbor != parent[node]:
+                    parent[neighbor] = node
+                    stack.append(neighbor)
+        bounds = (lo, len(order))
+        for node in order[lo:]:
+            span[node] = bounds
+    size = dict.fromkeys(order, 1)
+    for node in reversed(order):
+        up = parent[node]
+        if up is not None:
+            size[up] += size[node]
+    tout = {node: tin[node] + size[node] for node in order}
+    return order, parent, tin, tout, span
+
+
 @dataclass
 class RangeQueryResult:
     """Result set plus the communication spent to obtain it."""
@@ -122,34 +171,58 @@ class RangeQueryEngine:
         self._subtree_ball = self._build_backbone_summaries()
 
     def _build_backbone_summaries(self) -> dict[tuple[Hashable, Hashable], tuple[np.ndarray, float]]:
-        balls: dict[tuple[Hashable, Hashable], tuple[np.ndarray, float]] = {}
+        """Covering ball of the far side of every backbone edge direction.
+
+        One preorder of the backbone forest makes every far side a slice:
+        for a tree edge (parent, child) the roots on the child's side are
+        ``order[tin[child]:tout[child]]`` and those on the parent's side
+        are the rest of the component.  Each root with backbone edges
+        gets one vectorized row of ``d(F_root, F_j) + R_j`` over its
+        component, and each direction's radius is the row maximum over
+        its slice (or the complement) — O(C) rows instead of a walk of
+        the whole far side per direction.
+
+        The balls equal the scalar per-root maximum bit for bit.  At
+        d ≥ 2 a vectorized row may round an entry differently from
+        :meth:`Metric.distance` by an ulp, so the entries within
+        :data:`_ROW_RECHECK_RTOL` of the row maximum are recomputed with
+        the scalar metric and the radius is their exact maximum.
+        """
         tree = self.backbone.tree
+        order, parent, tin, tout, span = _preorder(tree)
+        routing = self.mtree.routing_feature
+        centres = np.array([routing[root] for root in order], dtype=np.float64)
+        radii = np.array([self._routing_ball(root)[1] for root in order], dtype=np.float64)
+        exact = self._dim == 1
+        reach: dict[tuple[Hashable, Hashable], float] = {}
+        for dst in order:
+            sources = list(tree.neighbors(dst))
+            if not sources:
+                continue
+            lo, hi = span[dst]
+            center = routing[dst]
+            row = self.metric.distance_row(center, centres[lo:hi]) + radii[lo:hi]
+            for src in sources:
+                if parent[dst] == src:
+                    ranges = ((tin[dst] - lo, tout[dst] - lo),)
+                else:  # src is a child of dst: all but src's subtree
+                    ranges = ((0, tin[src] - lo), (tout[src] - lo, hi - lo))
+                top = max(row[a:b].max() for a, b in ranges if b > a)
+                if exact:
+                    reach[(src, dst)] = float(top)
+                    continue
+                cut = top - top * _ROW_RECHECK_RTOL
+                radius = 0.0
+                for a, b in ranges:
+                    for j in np.flatnonzero(row[a:b] >= cut) + (lo + a):
+                        d = self.metric.distance(center, routing[order[j]])
+                        radius = max(radius, d + radii[j])
+                reach[(src, dst)] = float(radius)
+        balls: dict[tuple[Hashable, Hashable], tuple[np.ndarray, float]] = {}
         for a, b in tree.edges:
             for src, dst in ((a, b), (b, a)):
-                # Roots on dst's side when edge (src, dst) is removed.
-                side = self._side_roots(src, dst)
-                center = self.mtree.routing_feature[dst]
-                radius = 0.0
-                for root in side:
-                    root_center, root_radius = self._routing_ball(root)
-                    d = self.metric.distance(center, root_center)
-                    radius = max(radius, d + root_radius)
-                balls[(src, dst)] = (center, radius)
+                balls[(src, dst)] = (routing[dst], reach[(src, dst)])
         return balls
-
-    def _side_roots(self, src: Hashable, dst: Hashable) -> set[Hashable]:
-        """Backbone roots reachable from *dst* without crossing (src, dst)."""
-        seen = {dst}
-        stack = [dst]
-        while stack:
-            current = stack.pop()
-            for neighbor in self.backbone.tree.neighbors(current):
-                if neighbor == src and current == dst:
-                    continue
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return seen
 
     def fanout_preview(
         self, q: np.ndarray, radius: float, initiator: Hashable
@@ -230,7 +303,7 @@ class RangeQueryEngine:
                 if dead and neighbor in dead:
                     # The query copy toward this relay is undeliverable.
                     self._drop(stats, DROP_DEAD_RELAY)
-                    lost_roots.update(self._side_roots(current, neighbor))
+                    lost_roots.update(self.backbone.side_roots(current, neighbor))
                     continue
                 center, ball_radius = self._ball_toward(current, neighbor)
                 if self.metric.distance(q, center) > radius + ball_radius:

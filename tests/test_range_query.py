@@ -322,3 +322,178 @@ def test_drop_accounting_agrees_between_stats_and_metrics():
     }
     assert reasons  # the registry saw every structured drop reason
     assert sum(reasons.values()) == out.drops
+
+
+# ----------------------------------------------------------------------
+# backbone summaries: linear-pass build equals the per-direction walk
+# ----------------------------------------------------------------------
+from repro.features import ManhattanMetric, MatrixMetric, WeightedEuclideanMetric
+from repro.geometry import grid_topology
+
+
+def _walk_summaries(engine):
+    """Reference build: walk the whole far side of every edge direction."""
+    balls = {}
+    for a, b in engine.backbone.tree.edges:
+        for src, dst in ((a, b), (b, a)):
+            center = engine.mtree.routing_feature[dst]
+            radius = 0.0
+            for root in engine.backbone.side_roots(src, dst):
+                root_center, root_radius = engine._routing_ball(root)
+                d = engine.metric.distance(center, root_center)
+                radius = max(radius, d + root_radius)
+            balls[(src, dst)] = (center, radius)
+    return balls
+
+
+def _assert_summaries_exact(engine):
+    expected = _walk_summaries(engine)
+    built = engine._subtree_ball
+    assert list(built) == list(expected)
+    for key, (center, radius) in expected.items():
+        assert built[key][0] is center, key
+        assert built[key][1] == radius, (key, built[key][1], radius)
+
+
+def _field(n, dim, seed):
+    """Smooth random field: multi-member clusters plus a few dozen roots."""
+    topology = random_geometric_topology(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(size=(2, dim))
+    features = {
+        v: np.sin(0.5 * np.asarray(topology.positions[v]) @ weights)
+        + rng.normal(0.0, 0.02, size=dim)
+        for v in topology.graph.nodes
+    }
+    return topology, features
+
+
+def _summary_engine(topology, features, metric, delta, **kwargs):
+    clustering = run_elink(topology, features, metric, ELinkConfig(delta=delta)).clustering
+    mtree = build_mtree(clustering, features, metric)
+    backbone = build_backbone(topology.graph, clustering)
+    engine = RangeQueryEngine(clustering, features, metric, mtree, backbone, **kwargs)
+    return engine, clustering, mtree, backbone
+
+
+@pytest.mark.parametrize(
+    "dim, metric",
+    [
+        (1, EuclideanMetric()),
+        (3, EuclideanMetric()),
+        (4, EuclideanMetric()),
+        (4, WeightedEuclideanMetric([0.5, 0.3, 0.2, 0.1])),
+        (3, ManhattanMetric()),
+    ],
+    ids=["euclid-d1", "euclid-d3", "euclid-d4", "weighted-d4", "manhattan-d3"],
+)
+def test_backbone_summaries_equal_per_direction_walk(dim, metric):
+    topology, features = _field(160, dim, seed=dim + 5)
+    engine, clustering, _, _ = _summary_engine(topology, features, metric, delta=0.5)
+    assert clustering.num_clusters >= 20
+    _assert_summaries_exact(engine)
+
+
+class _IdMatrixMetric(MatrixMetric):
+    """Table metric over length-1 features holding a node id."""
+
+    def distance(self, a, b):
+        return super().distance(int(a[0]), int(b[0]))
+
+
+def test_backbone_summaries_exact_on_generic_row_fallback():
+    topology = random_geometric_topology(60, seed=9)
+    rng = np.random.default_rng(9)
+    height = {v: float(rng.uniform(0.0, 3.0)) for v in topology.graph.nodes}
+    nodes = sorted(topology.graph.nodes)
+    table = {
+        (a, b): abs(height[a] - height[b]) for i, a in enumerate(nodes) for b in nodes[i + 1:]
+    }
+    metric = _IdMatrixMetric(table, check_triangle=False)
+    assert metric.pairwise_matrix(np.zeros((2, 1))) is None  # no vectorized form
+    features = {v: np.array([float(v)]) for v in nodes}
+    engine, clustering, _, _ = _summary_engine(topology, features, metric, delta=0.3)
+    assert clustering.num_clusters >= 5
+    _assert_summaries_exact(engine)
+
+
+def test_backbone_summaries_single_cluster_is_empty():
+    topology = grid_topology(4, 4)
+    features = {v: np.zeros(3) for v in topology.graph.nodes}
+    engine, clustering, _, _ = _summary_engine(topology, features, EuclideanMetric(), 1.0)
+    assert clustering.num_clusters == 1
+    assert engine._subtree_ball == {}
+    _assert_summaries_exact(engine)
+
+
+def test_backbone_summaries_exact_with_root_replacements():
+    topology, features = _field(160, 3, seed=21)
+    metric = EuclideanMetric()
+    engine, clustering, mtree, backbone = _summary_engine(topology, features, metric, 0.5)
+    dead = next(
+        r
+        for r in clustering.roots
+        if backbone.tree.degree(r) >= 2 and len(clustering.members(r)) >= 2
+    )
+    replacement = next(m for m in clustering.members(dead) if m != dead)
+    surviving = topology.graph.copy()
+    surviving.remove_node(dead)
+    assert backbone.reroute_around(surviving, dead, replacement) >= 1
+    engine = RangeQueryEngine(
+        clustering,
+        features,
+        metric,
+        mtree,
+        backbone,
+        dead={dead},
+        root_replacements={dead: replacement},
+    )
+    assert any(replacement in key for key in engine._subtree_ball)
+    _, replaced_radius = engine._routing_ball(replacement)
+    assert replaced_radius > mtree.covering_radius[replacement]
+    _assert_summaries_exact(engine)
+
+
+def test_backbone_summaries_exact_on_split_backbone():
+    """A repair that cannot re-route an edge leaves a forest."""
+    topology, features = _field(160, 3, seed=8)
+    metric = EuclideanMetric()
+    _, clustering, mtree, backbone = _summary_engine(topology, features, metric, 0.5)
+    edges = list(backbone.tree.edges)
+    for a, b in edges[::7]:
+        backbone.tree.remove_edge(a, b)
+    engine = RangeQueryEngine(clustering, features, metric, mtree, backbone)
+    assert len(engine._subtree_ball) == 2 * (len(edges) - len(edges[::7]))
+    _assert_summaries_exact(engine)
+
+
+class _CountingMetric(EuclideanMetric):
+    """Euclidean metric that counts its scalar ``distance`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def distance(self, a, b):
+        self.calls += 1
+        return super().distance(a, b)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_backbone_summary_build_makes_linear_scalar_calls(dim):
+    topology = grid_topology(24, 24)
+    rng = np.random.default_rng(dim)
+    features = {v: rng.uniform(0.0, 10.0, size=dim) for v in topology.graph.nodes}
+    metric = _CountingMetric()
+    clustering = run_elink(topology, features, metric, ELinkConfig(delta=0.6)).clustering
+    mtree = build_mtree(clustering, features, metric)
+    backbone = build_backbone(topology.graph, clustering)
+    clusters = clustering.num_clusters
+    assert clusters >= 200
+    metric.calls = 0
+    engine = RangeQueryEngine(clustering, features, metric, mtree, backbone)
+    # The per-direction walk made ~C^2 calls; the row build re-checks only
+    # near-maximum entries, about one per edge direction.
+    assert metric.calls <= 4 * clusters, (metric.calls, clusters)
+    metric.calls = 0
+    _walk_summaries(engine)
+    assert metric.calls >= clusters * clusters // 4
