@@ -45,6 +45,16 @@ class MTreeIndex:
         """Covering radius of *node*."""
         return self.covering_radius[node]
 
+    def subtree(self, node: Hashable) -> set[Hashable]:
+        """Every node of the cluster subtree rooted at *node*, itself included."""
+        out: set[Hashable] = set()
+        stack = [node]
+        while stack:
+            current = stack.pop()
+            out.add(current)
+            stack.extend(self.children[current])
+        return out
+
 
 def build_mtree(
     clustering: Clustering,

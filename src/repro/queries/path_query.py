@@ -26,6 +26,9 @@ The BFS-flooding baseline instead floods the query through the safe part
 of the network from the source: every reached safe node rebroadcasts once,
 so the cost is ~2 values per edge incident to the flooded region, plus the
 path trace-back.
+
+Degraded operation (dead roots and endpoints, coverage, drops) follows
+:mod:`repro.queries.view`.
 """
 
 from __future__ import annotations
@@ -41,13 +44,9 @@ from repro.core.delta import Clustering
 from repro.features.metrics import Metric
 from repro.index.mtree import MTreeIndex
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.messages import CATEGORY_QUERY, Message
+from repro.queries.view import DROP_DEAD_ENDPOINT, DROP_DEAD_ROOT, TopologyView
+from repro.sim.messages import Message
 from repro.sim.stats import MessageStats
-
-#: Drop reasons recorded by the degraded-mode path-query paths.
-DROP_DEAD_ROOT = "dead_root"
-DROP_DEAD_ENDPOINT = "dead_endpoint"
-DROP_NO_SURVIVORS = "no_survivors"
 
 
 @dataclass
@@ -69,18 +68,10 @@ class PathQueryResult:
 class PathQueryEngine:
     """Safe-path search over a clustering + M-tree.
 
-    Degraded operation after fail-stop crashes: pass ``dead`` (the crashed
-    node set) and clusters whose representative died are excluded from the
-    safe set — their surviving members cannot be classified, so they count
-    as uncovered and the result carries a coverage fraction instead of a
-    crash.  Dead nodes are never part of a returned path.  ``dead`` defaults
-    to empty: the fault-free path is untouched.
-
-    Degraded-path losses are recorded in the per-query ``MessageStats``
-    under ``drops_by_reason`` (``dead_root`` / ``dead_endpoint`` /
-    ``no_survivors``) and mirrored into ``queries.drops.<reason>``
-    counters when a *metrics* registry is supplied, so both accounting
-    systems agree.
+    ``dead`` / ``metrics`` build the engine's
+    :class:`~repro.queries.view.TopologyView`: clusters whose
+    representative died cannot be classified and count as uncovered, and
+    dead nodes are never part of a returned path.
     """
 
     def __init__(
@@ -94,14 +85,12 @@ class PathQueryEngine:
         dead: "set[Hashable] | frozenset[Hashable] | None" = None,
         metrics: MetricsRegistry | None = None,
     ):
+        self.view = TopologyView(clustering, features, metric, mtree, dead=dead, metrics=metrics)
         self.graph = graph
         self.clustering = clustering
-        self.features = {k: np.asarray(v, dtype=np.float64) for k, v in features.items()}
+        self.features = self.view.features
         self.metric = metric
         self.mtree = mtree
-        self._dead = frozenset(dead) if dead else frozenset()
-        self._metrics = metrics
-        self._dim = int(next(iter(self.features.values())).shape[0])
 
     # ------------------------------------------------------------------
     def query(
@@ -115,53 +104,26 @@ class PathQueryEngine:
         require_non_negative(gamma, "gamma")
         danger = np.asarray(danger, dtype=np.float64)
         stats = MessageStats()
-        query_values = self._dim + 1
+        view = self.view
 
         # A dead endpoint can neither issue the query nor terminate the
         # path: answer "no path" with zero coverage instead of silently
         # classifying clusters for an unanswerable question.
-        if self._dead and (source in self._dead or destination in self._dead):
-            self._drop(stats, DROP_DEAD_ENDPOINT)
+        if source in view.dead or destination in view.dead:
+            view.drop(stats, DROP_DEAD_ENDPOINT)
             return PathQueryResult(None, 0, 0, 0, 0.0, stats.total_drops)
 
         # Source routes the query to its cluster root.
-        entry_hops = len(self.clustering.path_to_root(source)) - 1
-        if entry_hops:
-            self._charge(stats, query_values, entry_hops)
-
-        safe_nodes, drilled, coverage = self._classify(danger, gamma, stats, query_values)
-        if source not in safe_nodes or destination not in safe_nodes:
-            return PathQueryResult(
-                None, stats.total_values, len(safe_nodes), drilled, coverage, stats.total_drops
-            )
-
-        # Safe regions: connected components of the safe-induced subgraph.
-        safe_sub = self.graph.subgraph(safe_nodes)
-        component = nx.node_connected_component(safe_sub, source)
-        if destination not in component:
-            return PathQueryResult(
-                None, stats.total_values, len(safe_nodes), drilled, coverage, stats.total_drops
-            )
-
-        # Region-level BFS along the safe backbone: charge the query once
-        # per safe cluster-root region traversed (2 values each way), then
-        # trace the path back (1 value per hop).
-        region_roots = {self.clustering.root_of(node) for node in component}
-        for _ in region_roots:
-            self._charge(stats, 2, 1)
-        path = nx.shortest_path(safe_sub.subgraph(component), source, destination)
-        self._charge(stats, 1, len(path) - 1)
-        return PathQueryResult(
-            list(path), stats.total_values, len(safe_nodes), drilled, coverage, stats.total_drops
+        view.charge(stats, view.query_values, len(self.clustering.path_to_root(source)) - 1)
+        safe_nodes, drilled, coverage = self._classify(danger, gamma, stats)
+        return safe_route(
+            self.graph, self.clustering, source, destination, safe_nodes, drilled, stats,
+            coverage=coverage,
         )
 
     # ------------------------------------------------------------------
     def _classify(
-        self,
-        danger: np.ndarray,
-        gamma: float,
-        stats: MessageStats,
-        query_values: int,
+        self, danger: np.ndarray, gamma: float, stats: MessageStats
     ) -> tuple[set[Hashable], int, float]:
         """Label every node safe/unsafe, drilling boundary clusters.
 
@@ -169,52 +131,33 @@ class PathQueryEngine:
         surviving members are left out of the safe set and counted as
         uncovered in the returned coverage fraction.
         """
+        view = self.view
         safe: set[Hashable] = set()
         drilled = 0
-        dead = self._dead
-        uncovered = 0
+        lost: set[Hashable] = set()
         for root in self.clustering.roots:
-            if dead and root in dead:
+            if root in view.dead:
                 # The classification request to this root is undeliverable.
-                self._drop(stats, DROP_DEAD_ROOT)
-                uncovered += sum(
-                    1 for m in self.clustering.members(root) if m not in dead
-                )
+                view.drop(stats, DROP_DEAD_ROOT)
+                lost.add(root)
                 continue
             d = self.metric.distance(danger, self.mtree.routing_feature[root])
             radius = self.mtree.covering_radius[root]
             # Reaching each root costs one backbone traversal; approximate
             # with one charge per cluster (the backbone fan-out).
-            self._charge(stats, query_values, 1)
+            view.charge(stats, view.query_values, 1)
             if d - radius >= gamma:
                 safe.update(self.clustering.members(root))
                 continue
             if d + radius < gamma:
                 continue
             drilled += 1
-            safe.update(self._drill(root, danger, gamma, stats, query_values))
-        coverage = 1.0
-        if dead:
-            safe.difference_update(dead)
-            alive_total = sum(
-                1 for n in self.clustering.assignment if n not in dead
-            )
-            if alive_total:
-                coverage = 1.0 - uncovered / alive_total
-            else:
-                # Zero survivors: nothing was (or could be) classified —
-                # 0.0, never the vacuous 1.0 this case used to report.
-                self._drop(stats, DROP_NO_SURVIVORS)
-                coverage = 0.0
-        return safe, drilled, coverage
+            safe.update(self._drill(root, danger, gamma, stats))
+        safe.difference_update(view.dead)
+        return safe, drilled, view.coverage(lost)
 
     def _drill(
-        self,
-        root: Hashable,
-        danger: np.ndarray,
-        gamma: float,
-        stats: MessageStats,
-        query_values: int,
+        self, root: Hashable, danger: np.ndarray, gamma: float, stats: MessageStats
     ) -> set[Hashable]:
         """M-tree drill-down labelling safe sub-clusters of one cluster."""
         safe: set[Hashable] = set()
@@ -229,36 +172,52 @@ class PathQueryEngine:
                     danger, self.mtree.routing_feature[child]
                 )
                 r_child = self.mtree.covering_radius[child]
+                # The label request travels down the edge in every case.
+                self.view.charge(stats, self.view.query_values, 1)
                 if d_child_route - r_child >= gamma:
-                    safe.update(self._subtree(child))
-                    self._charge(stats, query_values, 1)
-                    continue
-                if d_child_route + r_child < gamma:
-                    self._charge(stats, query_values, 1)
-                    continue
-                self._charge(stats, query_values, 1)
-                stack.append(child)
+                    safe.update(self.mtree.subtree(child))
+                elif d_child_route + r_child >= gamma:
+                    stack.append(child)
         return safe
 
-    def _subtree(self, node: Hashable) -> set[Hashable]:
-        out: set[Hashable] = set()
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            out.add(current)
-            stack.extend(self.mtree.children[current])
-        return out
 
-    @staticmethod
-    def _charge(stats: MessageStats, values: int, hops: int) -> None:
-        if hops > 0:
-            stats.charge("query", CATEGORY_QUERY, values, hops)
+def safe_route(
+    graph: nx.Graph,
+    clustering: Clustering,
+    source: Hashable,
+    destination: Hashable,
+    safe: set[Hashable],
+    drilled: int,
+    stats: MessageStats,
+    *,
+    flooded: int | None = None,
+    coverage: float = 1.0,
+) -> PathQueryResult:
+    """Shared tail of every path plan: the canonical route through *safe*.
 
-    def _drop(self, stats: MessageStats, reason: str) -> None:
-        """Record one degraded-path drop in both accounting systems."""
-        stats.drop("query", reason)
-        if self._metrics is not None:
-            self._metrics.counter(f"queries.drops.{reason}").inc()
+    Safe regions are the connected components of the safe-induced
+    subgraph.  When *source* and *destination* share one, the route is the
+    BFS shortest path inside it, traced back at 1 value per hop; the
+    region-level search over the component's safe cluster roots is charged
+    2 values per root.  A flood plan has already paid per node instead:
+    it passes the number of *flooded* nodes, reported as ``safe_nodes``.
+    Every backend routes through this one function, so all of them return
+    identical routes for the same safe set.
+    """
+    safe_count = len(safe) if flooded is None else flooded
+    path = None
+    if source in safe and destination in safe:
+        safe_sub = graph.subgraph(safe)
+        component = nx.node_connected_component(safe_sub, source)
+        if destination in component:
+            if flooded is None:
+                region_roots = {clustering.root_of(node) for node in component}
+                TopologyView.charge(stats, 2, len(region_roots))
+            path = list(nx.shortest_path(safe_sub.subgraph(component), source, destination))
+            TopologyView.charge(stats, 1, len(path) - 1)
+    return PathQueryResult(
+        path, stats.total_values, safe_count, drilled, coverage, stats.total_drops
+    )
 
 
 def maximin_safe_path(

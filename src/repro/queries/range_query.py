@@ -27,12 +27,14 @@ Cost accounting: every traversed cluster-tree edge and every backbone-path
 hop is charged ``dim+1`` values for the query going down and 1 value for
 the aggregate coming back — the same convention the TAG baseline is
 charged under, so the comparison in Figs 14–15 is apples-to-apples.
+Degraded operation (dead relays, re-elected roots, coverage, drops)
+follows :mod:`repro.queries.view`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
@@ -42,14 +44,8 @@ from repro.features.metrics import Metric
 from repro.index.backbone import BackboneTree
 from repro.index.mtree import MTreeIndex
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.messages import CATEGORY_QUERY
+from repro.queries.view import TopologyView
 from repro.sim.stats import MessageStats
-
-#: Drop reasons recorded by the degraded-mode query paths.
-DROP_DEAD_RELAY = "dead_relay"
-DROP_DEAD_ROOT = "dead_root"
-DROP_NO_SURVIVORS = "no_survivors"
-
 
 #: Relative distance below a row maximum within which vectorized entries
 #: are re-checked with the scalar metric at d ≥ 2.  Far wider than any
@@ -120,26 +116,9 @@ class RangeQueryResult:
 class RangeQueryEngine:
     """Executes range queries over a clustering + M-tree + backbone.
 
-    Degraded operation after fail-stop crashes: pass ``dead`` (the crashed
-    node set) and the engine returns **partial results with a coverage
-    fraction** instead of crashing — dead backbone relays cut off their
-    far-side clusters (counted as uncovered), dead nodes are filtered from
-    match sets, and a query whose own representative died is answered from
-    the surviving cluster members alone.  With ``root_replacements``
-    (re-elected representatives, after
-    :meth:`~repro.index.backbone.BackboneTree.reroute_around` repaired the
-    backbone) the replacement stands in for the dead root, pruning with a
-    conservative covering ball (replacement-to-old-root distance added to
-    the old covering radius keeps the triangle-inequality exclusions
-    sound).  Both parameters default to empty: the fault-free path is
-    untouched.
-
-    Every degraded-path loss is accounted twice over, consistently: the
-    per-query ``MessageStats`` records it under ``drops_by_reason``
-    (``dead_relay`` / ``dead_root`` / ``no_survivors``) and, when a
-    *metrics* registry is supplied, the same reasons increment
-    ``queries.drops.<reason>`` counters — so a service-level registry and
-    the per-query stats always agree.
+    ``dead`` / ``root_replacements`` / ``metrics`` build the engine's
+    :class:`~repro.queries.view.TopologyView`: degraded, the query returns
+    partial matches with a coverage fraction instead of raising.
     """
 
     def __init__(
@@ -154,16 +133,15 @@ class RangeQueryEngine:
         root_replacements: Mapping[Hashable, Hashable] | None = None,
         metrics: MetricsRegistry | None = None,
     ):
+        self.view = TopologyView(
+            clustering, features, metric, mtree, backbone,
+            dead=dead, root_replacements=root_replacements, metrics=metrics,
+        )
         self.clustering = clustering
-        self.features = {k: np.asarray(v, dtype=np.float64) for k, v in features.items()}
+        self.features = self.view.features
         self.metric = metric
         self.mtree = mtree
         self.backbone = backbone
-        self._metrics = metrics
-        self._dead = frozenset(dead) if dead else frozenset()
-        self._replacements = dict(root_replacements) if root_replacements else {}
-        self._replaced_by = {repl: orig for orig, repl in self._replacements.items()}
-        self._dim = int(next(iter(self.features.values())).shape[0])
         # Directional backbone summaries: (a, b) -> covering ball of every
         # cluster member on b's side of the edge.  Built once; the build
         # would cost one (dim+1) message per backbone edge direction, which
@@ -192,8 +170,8 @@ class RangeQueryEngine:
         order, parent, tin, tout, span = _preorder(tree)
         routing = self.mtree.routing_feature
         centres = np.array([routing[root] for root in order], dtype=np.float64)
-        radii = np.array([self._routing_ball(root)[1] for root in order], dtype=np.float64)
-        exact = self._dim == 1
+        radii = np.array([self.view.routing_ball(root)[1] for root in order], dtype=np.float64)
+        exact = self.view.dim == 1
         reach: dict[tuple[Hashable, Hashable], float] = {}
         for dst in order:
             sources = list(tree.neighbors(dst))
@@ -239,28 +217,10 @@ class RangeQueryEngine:
         with, leaving only the per-cluster descent cost to be modeled.
         """
         q = np.asarray(q, dtype=np.float64)
-        origin_root = self.clustering.root_of(initiator)
         entry_hops = len(self.clustering.path_to_root(initiator)) - 1
-        start = self._replacements.get(origin_root, origin_root)
-        visited: list[Hashable] = [start]
-        backbone_hops = 0
-        stack = [start]
-        seen = {start}
-        while stack:
-            current = stack.pop()
-            for neighbor in self.backbone.tree.neighbors(current):
-                if neighbor in seen:
-                    continue
-                seen.add(neighbor)
-                if self._dead and neighbor in self._dead:
-                    continue  # the walk drops at dead relays, as query() does
-                center, ball_radius = self._ball_toward(current, neighbor)
-                if self.metric.distance(q, center) > radius + ball_radius:
-                    continue
-                backbone_hops += self.backbone.edge_hops(current, neighbor)
-                visited.append(neighbor)
-                stack.append(neighbor)
-        return entry_hops, visited, backbone_hops
+        start = self.view.effective(self.clustering.root_of(initiator))
+        walk = self.view.walk(start, self._summary_prune(q, radius))
+        return entry_hops, list(walk.hops), walk.total_hops
 
     def query(
         self, q: np.ndarray, radius: float, initiator: Hashable
@@ -269,96 +229,67 @@ class RangeQueryEngine:
         require_non_negative(radius, "radius")
         q = np.asarray(q, dtype=np.float64)
         stats = MessageStats()
-        query_values = self._dim + 1
-        dead = self._dead
+        view = self.view
 
         # 1. Initiator -> its cluster root over the cluster tree.
         origin_root = self.clustering.root_of(initiator)
-        if dead and origin_root in dead and origin_root not in self._replacements:
-            # Unrepaired dead representative: the initiator cannot enter
-            # the backbone, so the query is answered by flooding the
-            # surviving members of its own cluster.
-            return self._local_only(q, radius, origin_root, stats, query_values)
-        entry_hops = len(self.clustering.path_to_root(initiator)) - 1
-        if entry_hops:
-            self._charge(stats, query_values, entry_hops)
-            self._charge(stats, 1, entry_hops)  # results back to initiator
-        start = self._replacements.get(origin_root, origin_root)
+        if view.unreachable(origin_root):
+            alive, coverage = view.local_only(stats, origin_root)
+            matches = {
+                m for m in alive if self.metric.distance(q, self.features[m]) <= radius
+            }
+            # A descent is counted only when surviving members answered.
+            descended = 1 if alive else 0
+            return RangeQueryResult(
+                matches, stats.total_values, 0, 0, descended, coverage, stats.total_drops
+            )
+        view.round_trip(stats, len(self.clustering.path_to_root(initiator)) - 1)
 
         # 2. Fan out over the backbone tree, pruning whole backbone
         #    subtrees whose covering ball cannot intersect the query ball.
         #    Only traversed edges carry the query down and the aggregate
-        #    back.  Dead backbone relays cut off their far side: those
-        #    clusters go uncovered rather than raising.
-        lost_roots: set[Hashable] = set()
-        visited_roots: list[Hashable] = [start]
-        stack: list[Hashable] = [start]
-        seen = {start}
-        while stack:
-            current = stack.pop()
-            for neighbor in self.backbone.tree.neighbors(current):
-                if neighbor in seen:
-                    continue
-                seen.add(neighbor)
-                if dead and neighbor in dead:
-                    # The query copy toward this relay is undeliverable.
-                    self._drop(stats, DROP_DEAD_RELAY)
-                    lost_roots.update(self.backbone.side_roots(current, neighbor))
-                    continue
-                center, ball_radius = self._ball_toward(current, neighbor)
-                if self.metric.distance(q, center) > radius + ball_radius:
-                    continue  # the entire far-side subtree is out of range
-                hops = self.backbone.edge_hops(current, neighbor)
-                self._charge(stats, query_values, hops)
-                self._charge(stats, 1, hops)
-                visited_roots.append(neighbor)
-                stack.append(neighbor)
+        #    back.
+        walk = view.walk(view.effective(origin_root), self._summary_prune(q, radius))
+        view.charge_walk(stats, walk, up=1)
 
         # 3 + 4. Per-cluster pruning and descent at the visited roots.
         matches: set[Hashable] = set()
         pruned = included = descended = 0
-        for root in visited_roots:
-            center, r_root = self._routing_ball(root)
+        for root in walk.hops:
+            center, r_root = view.routing_ball(root)
             d_root = self.metric.distance(q, center)
             if d_root > radius + r_root:
                 pruned += 1
                 continue
             if d_root <= radius - r_root:
                 included += 1
-                matches.update(self._members_of(root))
+                matches.update(view.alive_members(root))
                 continue
             descended += 1
-            descend_root = self._replaced_by.get(root, root)
-            matches.update(self._descend(q, radius, descend_root, stats, query_values))
+            matches.update(self._descend(q, radius, view.original(root), stats))
 
-        if dead:
-            matches.difference_update(dead)
-        coverage = self._coverage_after_losses(lost_roots)
+        matches.difference_update(view.dead)
         return RangeQueryResult(
             matches,
             stats.total_values,
             pruned,
             included,
             descended,
-            coverage,
+            view.coverage(walk.lost),
             stats.total_drops,
         )
 
-    # ------------------------------------------------------------------
-    # Degraded-operation helpers (all no-ops without dead/replacements).
-    def _routing_ball(self, root: Hashable) -> tuple[np.ndarray, float]:
-        """Pruning ball of *root*, conservative for re-elected roots.
+    def _summary_prune(
+        self, q: np.ndarray, radius: float
+    ) -> Callable[[Hashable, Hashable], bool]:
+        """Walk predicate: True when the far side of backbone edge
+        ``(src, dst)`` cannot intersect the query ball."""
 
-        A replacement's own M-tree entry only covers its subtree, so its
-        cluster ball is the dead root's ball enlarged by the feature
-        distance between the two — sound by the triangle inequality.
-        """
-        center = self.mtree.routing_feature[root]
-        orig = self._replaced_by.get(root)
-        if orig is None:
-            return center, self.mtree.covering_radius[root]
-        slack = self.metric.distance(center, self.mtree.routing_feature[orig])
-        return center, slack + self.mtree.covering_radius[orig]
+        def out_of_range(src: Hashable, dst: Hashable) -> bool:
+            center, ball_radius = self._ball_toward(src, dst)
+            return self.metric.distance(q, center) > radius + ball_radius
+
+        return out_of_range
 
     def _ball_toward(
         self, src: Hashable, dst: Hashable
@@ -368,72 +299,14 @@ class RangeQueryEngine:
             return ball
         # Edge created by backbone repair after this engine was built: no
         # precomputed summary, so never prune across it.
-        return np.zeros(self._dim), float("inf")
+        return np.zeros(self.view.dim), float("inf")
 
-    def _members_of(self, root: Hashable):
-        members = self.clustering.members(self._replaced_by.get(root, root))
-        if self._dead:
-            return [m for m in members if m not in self._dead]
-        return members
-
-    def _alive_total(self) -> int:
-        return sum(1 for n in self.clustering.assignment if n not in self._dead)
-
-    def _coverage_after_losses(self, lost_roots: set[Hashable]) -> float:
-        if not lost_roots:
-            return 1.0
-        alive_total = self._alive_total()
-        if alive_total == 0:
-            # No survivors at all: nothing was (or could be) covered.
-            return 0.0
-        uncovered = 0
-        for root in lost_roots:
-            orig = self._replaced_by.get(root, root)
-            uncovered += sum(
-                1 for m in self.clustering.members(orig) if m not in self._dead
-            )
-        return 1.0 - uncovered / alive_total
-
-    def _local_only(
-        self,
-        q: np.ndarray,
-        radius: float,
-        origin_root: Hashable,
-        stats: MessageStats,
-        query_values: int,
-    ) -> RangeQueryResult:
-        """Answer from the initiator's own surviving cluster members."""
-        self._drop(stats, DROP_DEAD_ROOT)
-        alive = [
-            m for m in self.clustering.members(origin_root) if m not in self._dead
-        ]
-        for _ in range(max(len(alive) - 1, 0)):
-            self._charge(stats, query_values, 1)
-            self._charge(stats, 1, 1)
-        matches = {
-            m for m in alive if self.metric.distance(q, self.features[m]) <= radius
-        }
-        alive_total = self._alive_total()
-        # A fully-dead network covers nothing — 0.0, never 1.0 (a 0/0 here
-        # used to claim full coverage for an unanswerable query).
-        coverage = len(alive) / alive_total if alive_total else 0.0
-        # Only count a descent when surviving members actually answered;
-        # an empty cluster consulted nothing (this used to report 1).
-        descended = 1 if alive else 0
-        if not alive:
-            self._drop(stats, DROP_NO_SURVIVORS)
-        return RangeQueryResult(
-            matches, stats.total_values, 0, 0, descended, coverage, stats.total_drops
-        )
-
-    # ------------------------------------------------------------------
     def _descend(
         self,
         q: np.ndarray,
         radius: float,
         root: Hashable,
         stats: MessageStats,
-        query_values: int,
     ) -> set[Hashable]:
         """M-tree descent within one cluster; charges visited tree edges."""
         matches: set[Hashable] = set()
@@ -448,37 +321,15 @@ class RangeQueryEngine:
                 # the stored child table.
                 if abs(d_node - d_parent_child) > radius + r_child:
                     continue
-                # Parent-side full inclusion: the whole child subtree hits.
+                # Either way one message flows down the edge and back: a
+                # confirmation when the whole child subtree hits, the query
+                # otherwise.
+                self.view.round_trip(stats, 1)
                 if d_node + d_parent_child <= radius - r_child:
-                    matches.update(self._subtree(child))
-                    # One confirmation message still flows down and back.
-                    self._charge(stats, query_values, 1)
-                    self._charge(stats, 1, 1)
+                    matches.update(self.mtree.subtree(child))
                     continue
-                self._charge(stats, query_values, 1)  # query down one edge
-                self._charge(stats, 1, 1)  # aggregate back up
                 stack.append(child)
         return matches
-
-    def _subtree(self, node: Hashable) -> set[Hashable]:
-        out: set[Hashable] = set()
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            out.add(current)
-            stack.extend(self.mtree.children[current])
-        return out
-
-    @staticmethod
-    def _charge(stats: MessageStats, values: int, hops: int) -> None:
-        if hops > 0:
-            stats.charge("query", CATEGORY_QUERY, values, hops)
-
-    def _drop(self, stats: MessageStats, reason: str) -> None:
-        """Record one degraded-path drop in both accounting systems."""
-        stats.drop("query", reason)
-        if self._metrics is not None:
-            self._metrics.counter(f"queries.drops.{reason}").inc()
 
 
 def brute_force_range(

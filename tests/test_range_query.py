@@ -339,7 +339,7 @@ def _walk_summaries(engine):
             center = engine.mtree.routing_feature[dst]
             radius = 0.0
             for root in engine.backbone.side_roots(src, dst):
-                root_center, root_radius = engine._routing_ball(root)
+                root_center, root_radius = engine.view.routing_ball(root)
                 d = engine.metric.distance(center, root_center)
                 radius = max(radius, d + root_radius)
             balls[(src, dst)] = (center, radius)
@@ -449,7 +449,7 @@ def test_backbone_summaries_exact_with_root_replacements():
         root_replacements={dead: replacement},
     )
     assert any(replacement in key for key in engine._subtree_ball)
-    _, replaced_radius = engine._routing_ball(replacement)
+    _, replaced_radius = engine.view.routing_ball(replacement)
     assert replaced_radius > mtree.covering_radius[replacement]
     _assert_summaries_exact(engine)
 
