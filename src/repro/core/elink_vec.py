@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable, Mapping
 
+import networkx as nx
 import numpy as np
 
 from repro.core.delta import clustering_from_assignment
@@ -68,6 +69,12 @@ __all__ = ["try_run_vectorized"]
 #: Tail marker for scalar (non-batch) pushes: blocks expand-row merging at
 #: that timestamp without carrying any state.
 _OPAQUE = object()
+
+#: Visited-mask entries (bytes) one hop-table chunk may hold: the BFS
+#: source chunk is this divided by the node count.
+_HOP_SCRATCH = 1 << 22
+#: Hop-table entry for a quad edge whose endpoints are disconnected.
+_NO_PATH = -1
 
 
 class _ExpandBatch:
@@ -107,6 +114,54 @@ def _eligible(config: "ELinkConfig", network: Network, metric: Metric) -> bool:
         and network.kernel.pending == 0
         and type(metric) is EuclideanMetric
     )
+
+
+def _quad_edge_hops(indptr: np.ndarray, indices: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Shortest-path hop count from every node ``i`` to ``parent[i]``.
+
+    *indptr*/*indices* are the symmetric CSR adjacency, so d(p, c) =
+    d(c, p) and one breadth-first search per distinct parent covers all
+    its children.  The searches run level-synchronously over source
+    chunks whose visited mask stays at :data:`_HOP_SCRATCH` bytes, and a
+    source leaves the frontier once all its children are reached: the
+    work is the ball out to each parent's farthest child, not the graph.
+    The quadtree root (its own parent) gets 0; a child never reached keeps
+    :data:`_NO_PATH`.
+    """
+    n = parent.size
+    hops = np.full(n, _NO_PATH, dtype=np.int64)
+    hops[parent == np.arange(n)] = 0
+    children = np.flatnonzero(hops == _NO_PATH)
+    sources, row_of = np.unique(parent[children], return_inverse=True)
+    target_row = np.full(n, -1, dtype=np.int64)
+    target_row[children] = row_of
+    fanout = np.bincount(row_of, minlength=sources.size)
+    degree = np.diff(indptr)
+    chunk = max(1, _HOP_SCRATCH // n)
+    for lo in range(0, sources.size, chunk):
+        k = min(chunk, sources.size - lo)
+        pending = fanout[lo : lo + k].copy()  # children not yet reached
+        seen = np.zeros(k * n, dtype=bool)
+        rows = np.arange(k, dtype=np.int64)
+        nodes = sources[lo : lo + k]
+        seen[rows * n + nodes] = True
+        depth = 0
+        while rows.size:
+            depth += 1
+            # CSR multi-range gather of every frontier node's neighbours.
+            counts = degree[nodes]
+            cum = np.cumsum(counts)
+            offsets = np.repeat(indptr[nodes] - (cum - counts), counts)
+            keys = np.repeat(rows, counts) * n + indices[np.arange(int(cum[-1])) + offsets]
+            keys = np.unique(keys[~seen[keys]])
+            seen[keys] = True
+            rows, nodes = np.divmod(keys, n)
+            hit = target_row[nodes] == rows + lo
+            hops[nodes[hit]] = depth
+            pending -= np.bincount(rows[hit], minlength=k)
+            live = pending[rows] > 0
+            rows, nodes = rows[live], nodes[live]
+    return hops
 
 
 def try_run_vectorized(
@@ -212,6 +267,12 @@ class _VectorRun:
             self.phase1_received: dict[tuple[int, int], int] = {}
             self.protocol_done: list[float] = []
             self.quad_parent_idx = [index[quadtree.quad_parent[v]] for v in nodes]
+            # Every routed message runs along a quad edge, and under the
+            # legality gate only its hop count is observable: one table
+            # replaces the per-message BFS (DESIGN.md §8.2).
+            self.quad_hops = _quad_edge_hops(
+                indptr, indices, np.asarray(self.quad_parent_idx, dtype=np.int64)
+            ).tolist()
             self.quad_children_idx = [
                 [index[c] for c in quadtree.quad_children.get(v, [])] for v in nodes
             ]
@@ -437,15 +498,12 @@ class _VectorRun:
             owner = self.ep_owner[ep]
             self._send_phase1(owner, self.level[owner])
 
-    def _route(self, src: int, dst: int, kind: str, fire, *args) -> None:
-        """Mirror ``Network.route`` on the fast path: shortest-path charge,
-        one delivery push at ``hops × hop_delay`` (self-routes are free and
-        land after one processing delay)."""
-        path = self.network.shortest_path(self.nodes[src], self.nodes[dst])
-        hops = len(path) - 1
-        if hops == 0:
-            self._push_scalar(self.kernel.now + self.hd, fire, *args)
-            return
+    def _route(self, src: int, dst: int, hops: int, kind: str, fire, *args) -> None:
+        """Mirror ``Network.route`` on the fast path for one quad edge
+        (never a self-route): *hops* is its :attr:`quad_hops` entry; charge
+        ``hops``, push one delivery at ``hops × hop_delay``."""
+        if hops == _NO_PATH:
+            raise nx.NetworkXNoPath(f"no path from {self.nodes[src]!r} to {self.nodes[dst]!r}")
         self.stats.charge(kind, CATEGORY_SYNC, 1, hops)
         self._push_scalar(self.kernel.now + hops * self.hd, fire, *args)
 
@@ -458,8 +516,9 @@ class _VectorRun:
         if self.level[i] == 0:
             self._round_complete(round_level)
         else:
-            self._route(i, self.quad_parent_idx[i], "phase1", self._fire_phase1,
-                        self.quad_parent_idx[i], round_level)
+            parent = self.quad_parent_idx[i]
+            self._route(i, parent, self.quad_hops[i], "phase1", self._fire_phase1,
+                        parent, round_level)
 
     def _fire_phase1(self, i: int, round_level: int) -> None:
         got = self.phase1_received.get((i, round_level), 0) + 1
@@ -473,8 +532,9 @@ class _VectorRun:
             if self.level[i] == 0:
                 self._round_complete(round_level)
             else:
-                self._route(i, self.quad_parent_idx[i], "phase1", self._fire_phase1,
-                            self.quad_parent_idx[i], round_level)
+                parent = self.quad_parent_idx[i]
+                self._route(i, parent, self.quad_hops[i], "phase1", self._fire_phase1,
+                            parent, round_level)
 
     def _round_complete(self, round_level: int) -> None:
         if round_level >= self.max_level:
@@ -483,14 +543,15 @@ class _VectorRun:
         self._act_on_phase2(self.root_i, round_level)
 
     def _act_on_phase2(self, i: int, round_level: int) -> None:
+        quad_hops = self.quad_hops
         if self.level[i] == round_level:
             for c in self.quad_children_idx[i]:
-                self._route(i, c, "start", self._fire_start, c)
+                self._route(i, c, quad_hops[c], "start", self._fire_start, c)
         else:
             subtree_max = self.subtree_max
             for c in self.quad_children_idx[i]:
                 if subtree_max[c] >= round_level:
-                    self._route(i, c, "phase2", self._fire_phase2, c, round_level)
+                    self._route(i, c, quad_hops[c], "phase2", self._fire_phase2, c, round_level)
 
     def _fire_phase2(self, i: int, round_level: int) -> None:
         self._act_on_phase2(i, round_level)

@@ -28,10 +28,6 @@ import numpy as np
 
 from repro.geometry.topology import BoundingBox, Topology
 
-#: Below this size the reference per-cell build runs (same outputs; the
-#: columnar build's setup costs only pay off at scale).
-FAST_MIN_N = 4096
-
 
 @dataclass
 class _LevelCols:
@@ -73,6 +69,10 @@ class QuadCell:
 class QuadTreeDecomposition:
     """Sentinel hierarchy over a :class:`~repro.geometry.topology.Topology`.
 
+    The columnar build runs whenever the node ids allow it
+    (:meth:`_fast_eligible`); ``fast=False`` forces the per-cell reference
+    build, which produces identical outputs.
+
     Attributes
     ----------
     sentinel_sets:
@@ -90,7 +90,7 @@ class QuadTreeDecomposition:
     #: Hard depth cap; co-located nodes would otherwise split forever.
     MAX_DEPTH = 32
 
-    def __init__(self, topology: Topology, *, fast: bool | None = None):
+    def __init__(self, topology: Topology, *, fast: bool = True):
         self.topology = topology
         self.root_cell = QuadCell(0, topology.bounds, list(topology.graph.nodes))
         self.sentinel_sets: list[list[Hashable]] = []
@@ -102,8 +102,6 @@ class QuadTreeDecomposition:
         self._cells_eager: list[list[QuadCell]] | None = None
         #: Columnar level snapshots from the fast build (levels >= 1).
         self._fast_levels: list[_LevelCols] = []
-        if fast is None:
-            fast = topology.num_nodes >= FAST_MIN_N
         if fast and self._fast_eligible():
             self._build_fast()
         else:

@@ -50,11 +50,11 @@ Performance notes (see DESIGN.md, "Fast-path simulation engine"):
 - Shortest paths live in a bounded LRU keyed by ``(src, dst)`` and filled
   by BFS-on-demand (replicating networkx's expansion order exactly, so
   routed paths — and therefore per-node energy traces — are unchanged).
-  The BFS stops at ``dst`` but caches every path it discovered on the way,
-  so repeated routing from one source reuses the frontier instead of
-  re-running BFS.  Bounded, unlike the per-source
-  ``single_source_shortest_path`` cache it replaces, which held O(N²) path
-  objects on 2500-node runs.
+  The BFS keeps parent pointers, stops at ``dst`` and builds and caches
+  only the returned path: one LRU insert per miss, so a search never
+  floods the cache with paths nobody asked for.  The vectorised explicit
+  rounds do not route here at all; they read hop counts from a
+  precomputed quad-edge table (DESIGN.md §8.2).
 """
 
 from __future__ import annotations
@@ -747,38 +747,38 @@ class Network:
             raise nx.NodeNotFound(f"source {src!r} is not in the communication graph")
         if dst not in adj:
             raise nx.NetworkXNoPath(f"no path from {src!r} to {dst!r}")
-        cache = self._path_cache
-        limit = self._path_cache_size
-
-        def remember(key: tuple[Hashable, Hashable], path: tuple[Hashable, ...]) -> None:
-            cache[key] = path
-            cache.move_to_end(key)
-            if len(cache) > limit:
-                cache.popitem(last=False)
-
-        paths: dict[Hashable, tuple[Hashable, ...]] = {src: (src,)}
-        remember((src, src), (src,))
         if dst == src:
-            return (src,)
+            return self._remember(src, dst, (src,))
         # Level-order expansion in adjacency order — identical tie-breaking
         # to nx.single_source_shortest_path, stopping once dst is reached.
-        # Every path discovered on the way is cached: later routes from the
-        # same source to anything at most as far as dst are cache hits.
+        # Parent pointers only: the returned path is the one built.
+        pred: dict[Hashable, Hashable] = {src: src}
         level: list[Hashable] = [src]
         while level:
             next_level: list[Hashable] = []
             for v in level:
-                base = paths[v]
                 for w in adj[v]:
-                    if w not in paths:
-                        path = base + (w,)
-                        paths[w] = path
-                        remember((src, w), path)
+                    if w not in pred:
+                        pred[w] = v
                         if w == dst:
-                            return path
+                            path = [w]
+                            while w != src:
+                                w = pred[w]
+                                path.append(w)
+                            return self._remember(src, dst, tuple(reversed(path)))
                         next_level.append(w)
             level = next_level
         raise nx.NetworkXNoPath(f"no path from {src!r} to {dst!r}")
+
+    def _remember(
+        self, src: Hashable, dst: Hashable, path: tuple[Hashable, ...]
+    ) -> tuple[Hashable, ...]:
+        """Cache a freshly searched *path* as the newest LRU entry."""
+        cache = self._path_cache
+        cache[(src, dst)] = path
+        if len(cache) > self._path_cache_size:
+            cache.popitem(last=False)
+        return path
 
     def invalidate_paths(self) -> None:
         """Resynchronize with ``self.graph`` after a topology mutation.

@@ -228,6 +228,74 @@ def test_vectorized_rounds_identical_to_handlers(
     assert _vec_summary(handler) == _vec_summary(batched)
 
 
+def _spy_shortest_path(monkeypatch):
+    """Count calls to ``Network.shortest_path`` (both engines inherit it)."""
+    calls = []
+    real = Network.shortest_path
+
+    def spy(self, src, dst):
+        calls.append((src, dst))
+        return real(self, src, dst)
+
+    monkeypatch.setattr(Network, "shortest_path", spy)
+    return calls
+
+
+@pytest.mark.parametrize("engine", ["object", "array"])
+def test_vectorized_explicit_routes_from_hop_table(engine, monkeypatch):
+    """Explicit signalling on a field with long quad edges (dozens of
+    hops), with the hop-table scratch shrunk so its BFS runs over many
+    source chunks: identical to the handler path, and the batch path never
+    runs a per-message shortest-path search."""
+    monkeypatch.setattr(elink_vec, "_HOP_SCRATCH", 600 * 16)
+    topology = random_geometric_topology(600, seed=5)
+    calls = _spy_shortest_path(monkeypatch)
+    handler = _vec_run(topology, engine, "explicit", vectorized=False)
+    assert calls  # the handler path routes through BFS
+    calls.clear()
+    engaged = _spy_vectorizer(monkeypatch)
+    batched = _vec_run(topology, engine, "explicit", vectorized=True)
+    assert engaged == [True]
+    assert calls == []
+    assert _vec_summary(handler) == _vec_summary(batched)
+
+
+def test_quad_edge_hops_match_networkx(monkeypatch):
+    import networkx as nx
+
+    from repro.geometry.quadtree import QuadTreeDecomposition
+
+    monkeypatch.setattr(elink_vec, "_HOP_SCRATCH", 300 * 8)
+    topology = random_geometric_topology(300, seed=4)
+    quadtree = QuadTreeDecomposition(topology)
+    network = Network(topology.graph, engine="array")
+    index = network._node_index
+    parent = np.array([index[quadtree.quad_parent[v]] for v in network._node_list])
+    hops = elink_vec._quad_edge_hops(network._indptr, network._indices, parent)
+    for i, v in enumerate(network._node_list):
+        expected = nx.shortest_path_length(topology.graph, v, quadtree.quad_parent[v])
+        assert hops[i] == expected
+
+
+@pytest.mark.parametrize("engine", ["object", "array"])
+def test_disconnected_explicit_raises_on_both_paths(engine):
+    """A quad edge across two components: the batch path raises the same
+    ``NetworkXNoPath`` as ``Network.route`` on the handler path."""
+    import networkx as nx
+
+    half = grid_topology(4, 4)
+    graph = nx.disjoint_union(half.graph, half.graph)
+    positions = dict(half.positions)
+    positions.update({v + 16: (x + 10.0, y) for v, (x, y) in half.positions.items()})
+    topology = Topology(graph, positions)
+    messages = []
+    for vectorized in (False, True):
+        with pytest.raises(nx.NetworkXNoPath) as err:
+            _vec_run(topology, engine, "explicit", vectorized=vectorized)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_chaos_falls_back_to_handler_path_identically(monkeypatch):
     """With a fault injector armed, ``vectorized=True`` must decline —
     without ever reaching the batch path — and match the handler run."""

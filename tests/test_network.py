@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.geometry import grid_topology
+from repro.geometry import grid_topology, random_geometric_topology
 from repro.sim import EventKernel, Message, Network, ProtocolNode
 
 
@@ -275,16 +275,32 @@ def test_jitter_deterministic_per_seed():
 # ----------------------------------------------------------------------
 # path cache
 # ----------------------------------------------------------------------
-def test_bfs_paths_match_networkx():
-    """BFS-on-demand must reproduce networkx's exact paths (not just
-    lengths) — routed energy traces depend on the tie-breaking."""
-    graph = nx.gnp_random_graph(24, 0.15, seed=3)
-    graph.add_edges_from(nx.path_graph(24).edges)  # guarantee connectivity
-    network = Network(graph, EventKernel())
+def _assert_paths_match_networkx(network):
+    graph = network.graph
     for src in graph.nodes:
         expected = nx.single_source_shortest_path(graph, src)
         for dst in graph.nodes:
             assert tuple(network.shortest_path(src, dst)) == tuple(expected[dst])
+
+
+def test_bfs_paths_match_networkx():
+    """BFS-on-demand must reproduce networkx's exact paths (not just
+    lengths) — routed energy traces depend on the tie-breaking — on both
+    engines, also after a link goes down and comes back (which moves it
+    to the end of both endpoints' adjacency)."""
+    gnp = nx.gnp_random_graph(24, 0.15, seed=3)
+    gnp.add_edges_from(nx.path_graph(24).edges)  # guarantee connectivity
+    geometric = random_geometric_topology(60, seed=7).graph
+    for graph in (gnp, geometric):
+        bridges = {frozenset(e) for e in nx.bridges(graph)}
+        u, v = next(e for e in graph.edges if frozenset(e) not in bridges)
+        for engine in ("object", "array"):
+            network = Network(graph.copy(), engine=engine)
+            _assert_paths_match_networkx(network)
+            assert network.remove_edge(u, v)
+            _assert_paths_match_networkx(network)
+            assert network.restore_edge(u, v)
+            _assert_paths_match_networkx(network)
 
 
 def test_path_cache_eviction_stays_correct():
