@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
 
 import networkx as nx
 import numpy as np
@@ -24,16 +24,21 @@ import numpy as np
 from repro._validation import require_int_at_least, require_positive
 from repro.perf.cache import cached_artifact
 
-#: Node count above which :func:`random_geometric_topology` switches from
-#: the O(N²) pairwise range test to a spatial-hash cell grid.  Below the
-#: threshold the legacy path runs unchanged, so every graph at the paper's
-#: scales (≤ a few thousand nodes) — and therefore every pinned experiment
-#: table — stays byte-identical.  At and above it, the cell grid produces
-#: the *same edge set* (the range predicate is the same ``np.hypot(...) <=
-#: radio_range``), and component stitching switches to a centroid-MST
-#: variant that is deterministic but may pick different stitch edges than
-#: the legacy round-by-round dense-matrix argmin.
+#: Node count at which :func:`random_geometric_topology` switches from the
+#: paper-scale builder to the large-N one.  Below it, edges come from one
+#: cell-grid range pass emitted in row-major ``(i, j)`` order and components
+#: are joined by exact incremental Prim (:func:`_stitch_components`): the
+#: graph, down to each node's adjacency order, is the one the original
+#: quadratic range loop and round-by-round stitcher built, so every
+#: paper-scale pinned table is unchanged.  At and above it, edges are added
+#: cell by cell (:func:`_range_edges_grid`: same edge *set*, different
+#: insertion order) and stitching switches to a centroid-MST variant that is
+#: deterministic but may pick different stitch edges.
 SPATIAL_HASH_MIN_N = 4096
+
+#: Pair distances per vectorised block in the paper-scale range pass and
+#: stitcher, so no temporary grows with the square of the field.
+_PAIR_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -186,14 +191,9 @@ def random_geometric_topology(
         if connect and n > 1:
             _stitch_components_grid(graph, coords)
     else:
-        # O(n^2) range test is fine at the paper's scales (<= a few thousand).
-        for i in range(n):
-            deltas = coords[i + 1 :] - coords[i]
-            dists = np.hypot(deltas[:, 0], deltas[:, 1])
-            for offset in np.nonzero(dists <= radio_range)[0]:
-                graph.add_edge(i, i + 1 + int(offset))
+        _add_range_edges(graph, range(n), coords, radio_range)
         if connect and n > 1:
-            _stitch_components(graph, coords)
+            _stitch_components(graph, range(n), coords)
     return Topology(graph, positions)
 
 
@@ -203,7 +203,12 @@ def scatter_topology(
     radio_range: float,
     connect: bool = True,
 ) -> Topology:
-    """Build a topology from explicit node positions and a radio range."""
+    """Build a topology from explicit node positions and a radio range.
+
+    With *connect*, components are stitched as in
+    :func:`random_geometric_topology`; equal distances resolve in *points*
+    order (see :func:`_stitch_components`), never in hash order.
+    """
     require_positive(radio_range, "radio_range")
     ids = list(points)
     if not ids:
@@ -211,13 +216,9 @@ def scatter_topology(
     coords = np.asarray([points[i] for i in ids], dtype=np.float64)
     graph = nx.Graph()
     graph.add_nodes_from(ids)
-    for a in range(len(ids)):
-        deltas = coords[a + 1 :] - coords[a]
-        dists = np.hypot(deltas[:, 0], deltas[:, 1])
-        for offset in np.nonzero(dists <= radio_range)[0]:
-            graph.add_edge(ids[a], ids[a + 1 + int(offset)])
+    _add_range_edges(graph, ids, coords, radio_range)
     if connect and len(ids) > 1:
-        _stitch_components(graph, coords, ids=ids)
+        _stitch_components(graph, ids, coords)
     positions = {i: (float(points[i][0]), float(points[i][1])) for i in ids}
     return Topology(graph, positions)
 
@@ -237,15 +238,58 @@ def _hash_cells(coords: np.ndarray, cell: float) -> dict[tuple[int, int], np.nda
     return {key: np.asarray(members, dtype=np.int64) for key, members in buckets.items()}
 
 
-def _range_edges_grid(graph: nx.Graph, coords: np.ndarray, radio_range: float) -> None:
-    """Add all edges with pairwise distance <= radio_range via a cell grid.
+def _add_range_edges(
+    graph: nx.Graph, ids: Sequence[Hashable], coords: np.ndarray, radio_range: float
+) -> None:
+    """Add every edge with ``np.hypot(dx, dy) <= radio_range``, row-major.
 
-    Same edge *set* as the O(n²) loop — the range predicate is the identical
-    ``np.hypot(dx, dy) <= radio_range`` on the same float64 coordinates, and
-    with cell side = radio_range any in-range pair sits in adjacent cells.
-    Edge insertion order differs (grouped by cell rather than strictly
-    ascending i) but is deterministic, which is all the BFS tie-breaking
-    contract above :data:`SPATIAL_HASH_MIN_N` requires.
+    One cell-grid pass: each cell's members are tested against its 3×3
+    neighbourhood for partners of higher index, in blocks of at most
+    :data:`_PAIR_BUDGET` pairs.  The pairs are lexsorted to ascending
+    ``(i, j)`` and added in one ``add_edges_from`` call, so each node's
+    adjacency lists its range neighbours in *ids* order: the order a plain
+    ``for i: for j > i`` loop produces.  The cell side carries a 1e-9
+    relative slack so rounding in ``floor(x / cell)`` can never put an
+    in-range pair two cells apart; the range predicate itself is exact.
+    """
+    buckets = _hash_cells(coords, radio_range * (1.0 + 1e-9))
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    for (kx, ky), members in buckets.items():
+        cand = np.concatenate(
+            [
+                buckets[key]
+                for key in ((kx + dx, ky + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+                if key in buckets
+            ]
+        )
+        xs, ys = coords[cand, 0], coords[cand, 1]
+        step = max(1, _PAIR_BUDGET // len(cand))
+        for start in range(0, len(members), step):
+            block = members[start : start + step]
+            dists = np.hypot(xs - coords[block, 0, None], ys - coords[block, 1, None])
+            close = (dists <= radio_range) & (cand > block[:, None])
+            a, b = np.nonzero(close)
+            rows.append(block[a])
+            cols.append(cand[b])
+    first = np.concatenate(rows)
+    second = np.concatenate(cols)
+    order = np.lexsort((second, first))
+    graph.add_edges_from(
+        zip(map(ids.__getitem__, first[order].tolist()), map(ids.__getitem__, second[order].tolist()))
+    )
+
+
+def _range_edges_grid(graph: nx.Graph, coords: np.ndarray, radio_range: float) -> None:
+    """Add all edges with pairwise distance <= radio_range, cell by cell.
+
+    The large-N range pass.  Same edge *set* as :func:`_add_range_edges`
+    (the identical ``np.hypot(dx, dy) <= radio_range`` predicate on the same
+    float64 coordinates; with cell side = radio_range any in-range pair sits
+    in adjacent cells), but edges are added as each cell is scanned rather
+    than in row-major order.  That order is deterministic, which is all the
+    BFS tie-breaking contract above :data:`SPATIAL_HASH_MIN_N` requires, and
+    the large-N fields are pinned to it.
     """
     buckets = _hash_cells(coords, radio_range)
     add_edge = graph.add_edge
@@ -328,22 +372,58 @@ def _stitch_components_grid(graph: nx.Graph, coords: np.ndarray) -> None:
         current = nxt
 
 
-def _stitch_components(graph: nx.Graph, coords: np.ndarray, ids: list | None = None) -> None:
-    """Connect graph components by linking nearest cross-component node pairs."""
-    if ids is None:
-        ids = list(range(coords.shape[0]))
+def _stitch_components(graph: nx.Graph, ids: Sequence[Hashable], coords: np.ndarray) -> None:
+    """Connect graph components by nearest cross-component links (exact Prim).
+
+    A tree grows from the largest component (on equal sizes, the first in
+    node order, which both callers make *ids* order).  Each step links the
+    outside node closest to the tree to its nearest tree member and absorbs
+    that node's whole component.  The tree thus stays the largest component,
+    so the edges and their order are those of repeating "link the largest
+    component to the closest node outside it"; but components are computed
+    once, and outside nodes are updated against newly absorbed members only,
+    in blocks of at most :data:`_PAIR_BUDGET` pairs.
+
+    Ties resolve by smallest distance, then the earliest outside node in
+    *ids* order, then the tree member absorbed first (components are
+    absorbed whole, members in *ids* order), never by set iteration order.
+    """
+    n = coords.shape[0]
+    components = list(nx.connected_components(graph))
+    if len(components) <= 1:
+        return
     index_of = {node: k for k, node in enumerate(ids)}
+    label = np.empty(n, dtype=np.int64)
+    for c, comp in enumerate(components):
+        label[np.fromiter(map(index_of.__getitem__, comp), dtype=np.int64, count=len(comp))] = c
+    sizes = np.bincount(label)
+    by_label = np.argsort(label, kind="stable")  # each component's members in ids order
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+
+    best = np.full(n, np.inf)  # each outside node's distance to the tree
+    source = np.zeros(n, dtype=np.int64)  # ... and the tree member giving it
+    outside = np.ones(n, dtype=bool)
+    comp = int(np.argmax(sizes))
     while True:
-        components = list(nx.connected_components(graph))
-        if len(components) <= 1:
+        absorbed = by_label[starts[comp] : starts[comp + 1]]
+        outside[absorbed] = False
+        best[absorbed] = np.inf
+        rest = np.flatnonzero(outside)
+        if not len(rest):
             return
-        # Link the largest component to the closest node outside it.
-        components.sort(key=len, reverse=True)
-        core = components[0]
-        core_idx = np.asarray([index_of[v] for v in core])
-        rest = [v for comp in components[1:] for v in comp]
-        rest_idx = np.asarray([index_of[v] for v in rest])
-        diffs = coords[core_idx][:, None, :] - coords[rest_idx][None, :, :]
-        dists = np.hypot(diffs[..., 0], diffs[..., 1])
-        a, b = np.unravel_index(np.argmin(dists), dists.shape)
-        graph.add_edge(ids[core_idx[a]], ids[rest_idx[b]])
+        # Relax the outside nodes against the absorbed members only.  The
+        # strict < and the first-row argmin keep the earliest-absorbed
+        # member on equal distances.
+        xs, ys = coords[rest, 0], coords[rest, 1]
+        step = max(1, _PAIR_BUDGET // len(rest))
+        for begin in range(0, len(absorbed), step):
+            block = absorbed[begin : begin + step]
+            dists = np.hypot(coords[block, 0, None] - xs, coords[block, 1, None] - ys)
+            nearest = dists.argmin(axis=0)
+            closest = dists[nearest, np.arange(len(rest))]
+            closer = closest < best[rest]
+            best[rest[closer]] = closest[closer]
+            source[rest[closer]] = block[nearest[closer]]
+        node = int(np.argmin(best))
+        graph.add_edge(ids[int(source[node])], ids[node])
+        comp = int(label[node])

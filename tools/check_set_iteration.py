@@ -6,8 +6,9 @@ produce byte-identical runs.  The classic way to break it silently is
 event schedule — Python sets iterate in hash order, which varies with
 insertion history (and, for str keys, with ``PYTHONHASHSEED``).  This
 lint walks the AST of the schedule-adjacent modules (``core/elink.py``
-and ``sim/faults.py`` by default) and flags ``for`` loops and
-comprehensions whose iterable is:
+and ``sim/faults.py`` by default, plus ``geometry/topology.py``, whose
+stitch-edge order fixes every generated field) and flags ``for`` loops
+and comprehensions whose iterable is:
 
 - a ``set``/``frozenset`` literal, constructor call, or comprehension;
 - a call to ``.union`` / ``.intersection`` / ``.difference`` /
@@ -53,7 +54,11 @@ SET_RETURNING_METHODS = frozenset(
 )
 
 #: Files checked when none are given on the command line.
-DEFAULT_TARGETS = ("src/repro/core/elink.py", "src/repro/sim/faults.py")
+DEFAULT_TARGETS = (
+    "src/repro/core/elink.py",
+    "src/repro/sim/faults.py",
+    "src/repro/geometry/topology.py",
+)
 
 
 def _is_set_annotation(annotation: ast.expr | None) -> bool:
