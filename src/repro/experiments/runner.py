@@ -356,15 +356,6 @@ def main(argv: list[str] | None = None) -> int:
         "array engine flood, recorded as the BENCH micro block",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="K",
-        help="also run the fig13 shard ladder (1, 2, ..., K shards of the "
-        "multi-process sharded engine at one network size — --max-n, or "
-        "40000 by default), recorded as the BENCH shards block",
-    )
-    parser.add_argument(
         "--cache",
         nargs="?",
         const=".repro-cache",
@@ -395,8 +386,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be >= 1")
     if args.kernel_profile and args.jobs > 1:
         parser.error("--profile requires --jobs 1 (workers cannot report into the parent)")
     profile = "quick" if args.quick else "full"
@@ -434,8 +423,8 @@ def main(argv: list[str] | None = None) -> int:
     verify_level = verification_level()
     if verify_level != "off":
         print(f"[verification: {verify_level} — invariant violations abort the run]")
-    if args.max_n is not None or args.shards is not None:
-        # A scale/shard run replaces the regular suite unless --only names some.
+    if args.max_n is not None:
+        # A scale run replaces the regular suite unless --only names some.
         names = args.only or []
     else:
         names = args.only if args.only else list(ALL_EXPERIMENTS)
@@ -485,22 +474,6 @@ def main(argv: list[str] | None = None) -> int:
         scale_table, scale_wall = _run_scale(args.max_n, args.jobs)
         scale_table.print()
         print(f"[fig13 scale sweep (max_n={args.max_n}) finished in {scale_wall:.1f}s]\n")
-    shards_table = shards_wall = shards_n = None
-    if args.shards is not None:
-        # The ladder runs serially: the sharded engine forks its own
-        # per-shard workers, so pooling trials would oversubscribe cores
-        # and corrupt the very wall times the block exists to compare.
-        from repro.experiments import fig13_scalability_size
-
-        shards_n = args.max_n if args.max_n is not None else 40_000
-        shards_start = time.perf_counter()
-        shards_table = fig13_scalability_size.run_shards(shards_n, args.shards)
-        shards_wall = time.perf_counter() - shards_start
-        shards_table.print()
-        print(
-            f"[fig13 shard ladder (n={shards_n}, up to {args.shards} shards) "
-            f"finished in {shards_wall:.1f}s]\n"
-        )
     total_wall = time.perf_counter() - total_start
     serial_wall = sum(wall for _name, _table, wall, _elapsed in results)
     if args.jobs > 1 and results and total_wall > 0:
@@ -518,13 +491,6 @@ def main(argv: list[str] | None = None) -> int:
                 "max_n": args.max_n,
                 "wall_s": round(scale_wall, 3),
                 **scale_table.to_json_dict(),
-            }
-        if shards_table is not None:
-            payload["shards"] = {
-                "n": shards_n,
-                "max_shards": args.shards,
-                "wall_s": round(shards_wall, 3),
-                **shards_table.to_json_dict(),
             }
         with open(args.bench_out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)

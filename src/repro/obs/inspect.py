@@ -343,69 +343,6 @@ class TraceInspector:
         )
         return report
 
-    def shard_report(self) -> dict[str, Any] | None:
-        """Rollup of the ``shard.*`` event family, or None if absent.
-
-        Summarizes a sharded-engine run: how many epoch barriers the
-        coordinator opened (``shard.epoch``), how much work they carried,
-        how many cross-shard boundary messages crossed the barriers
-        (``shard.boundary``), and how evenly the per-shard dispatch load
-        was balanced (``shard.queues`` depth totals).
-        """
-        epochs = [e for e in self.events if e.type == "shard.epoch"]
-        if not epochs:
-            return None
-        entries = sum(e.data.get("entries", 0) for e in epochs)
-        boundary = sum(
-            e.data.get("messages", 0)
-            for e in self.events
-            if e.type == "shard.boundary"
-        )
-        depths: list[int] = []
-        for event in self.events:
-            if event.type != "shard.queues":
-                continue
-            for shard, depth in enumerate(event.data.get("depths", ())):
-                while len(depths) <= shard:
-                    depths.append(0)
-                depths[shard] += depth
-        total_dispatch = sum(depths)
-        balance = (
-            round(max(depths) * len(depths) / total_dispatch, 3)
-            if total_dispatch
-            else None
-        )
-        return {
-            "epochs": len(epochs),
-            "entries": entries,
-            "entries_per_epoch": round(entries / len(epochs), 1),
-            "boundary_messages": boundary,
-            "shard_dispatch": depths,
-            "balance_ratio": balance,
-        }
-
-    def shard_text(self) -> str:
-        """Render the ``shard.*`` rollup (see :meth:`shard_report`)."""
-        report = self.shard_report()
-        if report is None:
-            return "no shard.* events in trace"
-        lines = [
-            f"shards: {report['epochs']} epoch barriers, "
-            f"{report['entries']} dispatch entries "
-            f"({report['entries_per_epoch']}/epoch)",
-            f"  cross-shard boundary messages: {report['boundary_messages']}",
-        ]
-        if report["shard_dispatch"]:
-            per_shard = ", ".join(
-                f"s{shard}={count}"
-                for shard, count in enumerate(report["shard_dispatch"])
-            )
-            line = f"  dispatch by shard: {per_shard}"
-            if report["balance_ratio"] is not None:
-                line += f" (max/mean balance {report['balance_ratio']}x)"
-            lines.append(line)
-        return "\n".join(lines)
-
     def queries_text(self) -> str:
         """Render the ``queries.*`` rollup (see :meth:`queries_report`)."""
         report = self.queries_report()
@@ -533,8 +470,6 @@ class TraceInspector:
             lines += ["", self.serve_text()]
         if self.queries_report() is not None:
             lines += ["", self.queries_text()]
-        if self.shard_report() is not None:
-            lines += ["", self.shard_text()]
         return "\n".join(lines)
 
     def timeline_text(self, node: Any, limit: int | None = None) -> str:

@@ -14,7 +14,9 @@ backbone).  :class:`TopologyView` states the degraded policy once:
   triangle-inequality exclusion sound.
 - **Backbone walk.**  A fan-out crosses backbone edges depth-first from
   its start root and stops at dead relays; the far side of every severed
-  edge is *lost*.  One walk, with an optional prune predicate, yields the
+  edge is *lost*, and so is every root in another component when
+  :meth:`~repro.index.backbone.BackboneTree.reroute_around` left a
+  forest.  One walk, with an optional prune predicate, yields the
   traversed edges, the severed edges, the lost roots and the hop
   distance of every reached root (:class:`BackboneWalk`).
 - **Coverage.**  The fraction of surviving nodes whose cluster a query
@@ -38,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
+import networkx as nx
 import numpy as np
 
 from repro.core.delta import Clustering
@@ -69,7 +72,8 @@ class BackboneWalk:
     total_hops: int
     #: ``(src, dead relay)`` for every edge the walk could not cross.
     severed: list[tuple[Hashable, Hashable]]
-    #: Roots on the far sides of the severed edges (dead relays included).
+    #: Roots on the far sides of the severed edges (dead relays included)
+    #: and every root outside the start's backbone component.
     lost: set[Hashable]
 
 
@@ -107,6 +111,8 @@ class TopologyView:
         self.query_values = self.dim + 1
         self._metrics = metrics
         self._reach: dict[Hashable, BackboneWalk] = {}
+        #: Backbone components, built on the first walk (None until then).
+        self._components: list[set[Hashable]] | None = None
 
     # ------------------------------------------------------------------
     # roots and members
@@ -197,6 +203,7 @@ class TopologyView:
         A dead neighbour severs its edge and loses its far side.  Otherwise
         ``prune(src, dst)`` returning True skips *dst*'s whole far side
         without losing it (the query provably has nothing to find there).
+        Roots in other backbone components are lost: no edge reaches them.
         """
         tree = self.backbone.tree
         hops = {start: 0}
@@ -221,7 +228,21 @@ class TopologyView:
                 hops[neighbor] = hops[current] + edge
                 edges.append((current, neighbor, edge))
                 stack.append(neighbor)
+        lost.update(self._foreign_roots(start))
         return BackboneWalk(hops, edges, sum(h for _, _, h in edges), severed, lost)
+
+    def _foreign_roots(self, start: Hashable) -> set[Hashable]:
+        """Backbone roots outside *start*'s component (empty on a tree)."""
+        if self._components is None:
+            self._components = [set(c) for c in nx.connected_components(self.backbone.tree)]
+        if len(self._components) == 1:
+            return set()
+        return {
+            root
+            for component in self._components
+            if start not in component
+            for root in component
+        }
 
     def reach(self, start: Hashable) -> BackboneWalk:
         """The unpruned walk from *start*, cached per start: its hop table

@@ -1,6 +1,6 @@
 """``python -m repro verify`` — run the correctness oracle from the shell.
 
-Four modes:
+Three modes:
 
 - default: one fully-verified scenario over the shared chaos harness
   (:mod:`repro.verify.harness`) — online invariant monitors, stats
@@ -9,11 +9,6 @@ Four modes:
 - ``--replay``: the determinism differ — the scenario runs twice at the
   same seed and the two traces are compared byte-for-byte; the first
   divergent event (if any) is printed and exits 1.
-- ``--replay --sharded``: the sharded-equivalence certifier — the same
-  scenario runs once on the serial object engine and once on the
-  multi-process sharded engine (``--shards K``), and the canonical trace
-  streams, clusterings and message-stats snapshots must be bit-identical
-  (coordinator-only ``shard.*`` events excluded).
 - ``--serve-diff A B``: the serving-layer equivalence check — compare
   two ``repro serve --snapshot-out`` files (typically a kill-and-resume
   run against an uninterrupted one) and exit 1 with the first divergent
@@ -24,7 +19,7 @@ Examples::
 
     python -m repro verify --n 49 --crash 0.1 --seed 3
     python -m repro verify --replay --n 49 --crash 0.08 --seed 11
-    python -m repro verify --replay --sharded --shards 4 --topology geometric
+    python -m repro verify --replay --topology geometric --n 36 --crash 0.05 --engine array
     python -m repro verify --serve-diff resumed.json uninterrupted.json
 """
 
@@ -35,7 +30,7 @@ import math
 
 from repro.verify.harness import ScenarioSpec, run_scenario
 from repro.verify.invariants import InvariantError
-from repro.verify.replay import replay_check, replay_sharded_check
+from repro.verify.replay import replay_check
 from repro.verify.serve_check import diff_snapshot_files
 
 
@@ -49,17 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--replay",
         action="store_true",
         help="determinism mode: run the scenario twice and diff the traces",
-    )
-    parser.add_argument(
-        "--sharded",
-        action="store_true",
-        help="with --replay: certify the sharded engine against the serial run",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="shard count for --sharded / engine=sharded (default 2)",
     )
     parser.add_argument(
         "--topology",
@@ -87,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=("object", "array", "sharded"),
+        choices=("object", "array"),
         default="object",
         help="simulation engine under test (default object)",
     )
@@ -104,7 +88,6 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
         crash_fraction=args.crash,
         churn_events=args.churn,
         engine=args.engine,
-        shards=args.shards,
         topology=args.topology,
     )
 
@@ -127,11 +110,6 @@ def main(argv: list[str] | None = None) -> int:
         f"crash={spec.crash_fraction:g}, churn={spec.churn_events}, "
         f"seed={spec.seed}, engine={spec.engine}"
     )
-    if args.replay and args.sharded:
-        report = replay_sharded_check(spec)
-        print(f"verify --replay --sharded [{label}, shards={spec.shards}]")
-        print(f"  {report}")
-        return 0 if report.identical else 1
     if args.replay:
         report = replay_check(spec)
         print(f"verify --replay [{label}]")

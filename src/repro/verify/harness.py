@@ -47,14 +47,10 @@ class ScenarioSpec:
     churn_events: int = 0
     #: ELink signalling mode; explicit exercises the episode machinery.
     signalling: str = "explicit"
-    #: Simulation engine ("object" | "array" | "sharded"); None follows
+    #: Simulation engine ("object" | "array"); None follows
     #: REPRO_ENGINE.  Cross-engine byte-identity is checked by diffing
     #: traces from two specs differing only in this field.
     engine: str | None = None
-    #: Shard count for the sharded engine (ignored by the others).
-    shards: int = 2
-    #: Shard transport ("inline" | "fork"); None picks the platform default.
-    shard_mode: str | None = None
     #: Topology family: "grid" (the default chaos shape) or "geometric"
     #: (uniform-random placement with radio-range links, paper §8.1).
     topology: str = "grid"
@@ -64,16 +60,8 @@ class ScenarioSpec:
             raise ValueError(f"side must be >= 2, got {self.side}")
         if not 0.0 <= self.crash_fraction <= 1.0:
             raise ValueError(f"crash_fraction must be in [0, 1], got {self.crash_fraction}")
-        if self.engine not in (None, "object", "array", "sharded"):
-            raise ValueError(
-                f"engine must be 'object', 'array' or 'sharded', got {self.engine!r}"
-            )
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_mode not in (None, "inline", "fork"):
-            raise ValueError(
-                f"shard_mode must be 'inline' or 'fork', got {self.shard_mode!r}"
-            )
+        if self.engine not in (None, "object", "array"):
+            raise ValueError(f"engine must be 'object' or 'array', got {self.engine!r}")
         if self.topology not in ("grid", "geometric"):
             raise ValueError(
                 f"topology must be 'grid' or 'geometric', got {self.topology!r}"
@@ -103,16 +91,7 @@ def build_scenario(
     )
     quadtree = QuadTreeDecomposition(topology)
     kappa = compute_kappa(topology.num_nodes, config.gamma)
-    if spec.engine == "sharded":
-        network = Network(
-            graph,
-            engine="sharded",
-            shards=spec.shards,
-            quadtree=quadtree,
-            shard_mode=spec.shard_mode,
-        )
-    else:
-        network = Network(graph, engine=spec.engine)
+    network = Network(graph, engine=spec.engine)
     # The quadtree root is protected: it anchors the explicit round cascade
     # and result collection, same as the runner's --crash path.
     plan = FaultPlan.random(

@@ -18,7 +18,7 @@ payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.obs.trace import TraceEvent, Tracer
@@ -117,88 +117,3 @@ def replay_check(spec: ScenarioSpec, *, level: str = "off") -> ReplayReport:
         divergence=divergence,
     )
 
-
-def _canonical_clustering(result) -> tuple:
-    """A clustering's comparable canonical form (order-independent)."""
-    clustering = result.clustering
-    return (
-        tuple(sorted(clustering.assignment.items())),
-        tuple(sorted(clustering.parent.items())),
-        tuple(sorted((root, tuple(feature.tolist()))
-                     for root, feature in clustering.root_features.items())),
-    )
-
-
-@dataclass(frozen=True)
-class ShardedReplayReport:
-    """Outcome of one serial-vs-sharded equivalence check.
-
-    ``divergence`` is the first trace mismatch (``shard.*``
-    coordinator-only events excluded from the sharded stream);
-    ``mismatches`` lists any result-level disagreements (clustering,
-    stats, counters) by name.
-    """
-
-    spec: ScenarioSpec
-    shards: int
-    events: int
-    divergence: TraceDivergence | None
-    mismatches: tuple[str, ...]
-
-    @property
-    def identical(self) -> bool:
-        """True when the sharded run is bit-identical to the serial run."""
-        return self.divergence is None and not self.mismatches
-
-    def __str__(self) -> str:
-        if self.identical:
-            return (
-                f"sharded replay OK: {self.shards}-shard run byte-identical to "
-                f"serial ({self.events} events; clustering and stats match)"
-            )
-        if self.divergence is not None:
-            return f"sharded replay FAILED ({self.shards} shards): {self.divergence}"
-        return (
-            f"sharded replay FAILED ({self.shards} shards): result mismatch in "
-            + ", ".join(self.mismatches)
-        )
-
-
-def replay_sharded_check(spec: ScenarioSpec, *, level: str = "off") -> ShardedReplayReport:
-    """Certify the sharded engine against the serial baseline.
-
-    Runs *spec* once on the object engine and once on the sharded engine
-    (``spec.shards`` shards, same topology/seed/fault plan), then demands
-    byte-identical canonical trace streams — after dropping the
-    coordinator-only ``shard.*`` events, which have no serial counterpart
-    — plus identical clusterings and :class:`MessageStats` snapshots.
-    """
-    serial_tracer = Tracer()
-    serial = run_scenario(
-        replace(spec, engine="object"), level=level, tracer=serial_tracer
-    )
-    sharded_tracer = Tracer()
-    sharded = run_scenario(
-        replace(spec, engine="sharded"), level=level, tracer=sharded_tracer
-    )
-    filtered = [
-        event for event in sharded_tracer.events()
-        if not event.type.startswith("shard.")
-    ]
-    divergence = diff_traces(serial_tracer.events(), filtered)
-    mismatches = []
-    if _canonical_clustering(serial) != _canonical_clustering(sharded):
-        mismatches.append("clustering")
-    if serial.stats.snapshot() != sharded.stats.snapshot():
-        mismatches.append("stats")
-    for field in ("completion_time", "protocol_time", "total_switches",
-                  "repaired_components"):
-        if getattr(serial, field) != getattr(sharded, field):
-            mismatches.append(field)
-    return ShardedReplayReport(
-        spec=spec,
-        shards=spec.shards,
-        events=len(serial_tracer),
-        divergence=divergence,
-        mismatches=tuple(mismatches),
-    )

@@ -73,17 +73,24 @@ def test_selector_defaults_to_object_engine(small_grid):
 
 
 def test_selector_rejects_unknown_engine(small_grid):
-    with pytest.raises(ValueError, match="must be one of"):
-        Network(small_grid.graph, engine="vectorized")
+    # "sharded" names a retired engine: it must fail loudly, never fall back.
+    for engine in ("vectorized", "sharded"):
+        with pytest.raises(ValueError, match="must be one of"):
+            Network(small_grid.graph, engine=engine)
+        with pytest.raises(ValueError, match="engine must be"):
+            ScenarioSpec(engine=engine)
 
 
 def test_selector_follows_environment(small_grid, monkeypatch):
     monkeypatch.setenv(ENGINE_ENV, "array")
     assert default_engine() == "array"
     assert isinstance(Network(small_grid.graph), ArrayNetwork)
-    monkeypatch.setenv(ENGINE_ENV, "warp")
-    with pytest.raises(ValueError, match="must be one of"):
-        default_engine()
+    for value in ("warp", "sharded"):
+        monkeypatch.setenv(ENGINE_ENV, value)
+        with pytest.raises(ValueError, match="must be one of"):
+            default_engine()
+        with pytest.raises(ValueError, match="must be one of"):
+            Network(small_grid.graph)
 
 
 def test_explicit_kernel_overrides_engine_default(small_grid):
@@ -126,6 +133,13 @@ def _chaos_trace(spec: ScenarioSpec) -> tuple:
     [
         {"crash_fraction": 0.05, "churn_events": 2, "signalling": "explicit"},
         {"crash_fraction": 0.1, "churn_events": 0, "signalling": "implicit"},
+        {
+            "topology": "geometric",
+            "side": 6,
+            "crash_fraction": 0.05,
+            "churn_events": 2,
+            "signalling": "explicit",
+        },
     ],
 )
 def test_engines_byte_identical_under_faults(spec_kwargs):

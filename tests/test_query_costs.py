@@ -12,6 +12,7 @@ import importlib.util
 import json
 import pathlib
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -90,3 +91,23 @@ def test_backbone_knn_charges_entry_hops_both_ways(scenario, mode):
             - planner.plan_knn(q, k, root).estimates["backbone"]
             == (dim + 1 + k) * depth
         )
+
+
+def test_backbone_forest_loses_the_other_component():
+    """When ``reroute_around`` splits the backbone into a forest, roots in
+    the other component are lost.  In the re-elected n=50 scenario the
+    backbone splits 10 + 1 roots; root 45 (1 surviving member of 49) is
+    unreachable from the big component, so coverage is 48/49, not 1.0.
+    A pruned walk loses it too, since pruning never crosses components.
+    """
+    view = _tool()._planner(build_scenario(ScenarioSpec(n=50, seed=42)), "re-elected").view
+    small, big = sorted(nx.connected_components(view.backbone.tree), key=len)
+    assert (small, len(big)) == ({45}, 10)
+    start = min(big, key=repr)
+    reach = view.reach(start)
+    assert reach.lost == {45}
+    assert view.coverage(reach.lost) == 48 / 49
+    assert view.walk(start, lambda src, dst: True).lost == {45}
+    # From the isolated root, the whole big component is out of reach.
+    assert view.reach(45).lost == big
+    assert view.coverage(big) == pytest.approx(1 / 49)
